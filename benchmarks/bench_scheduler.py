@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Performance harness for the request-level scheduler simulation.
 
-Eleven sections, written to ``BENCH_scheduler.json`` at the repository root so subsequent PRs
+Twelve sections, written to ``BENCH_scheduler.json`` at the repository root so subsequent PRs
 can track both simulator wall-time (is the scheduler hot loop regressing?) and the simulated
 serving metrics (did a change silently alter the model?):
 
@@ -47,6 +47,11 @@ serving metrics (did a change silently alter the model?):
   the simulated results bit-identical and that every per-request phase breakdown tiles its
   end-to-end latency exactly; the traced run's Chrome/Perfetto timeline is written next to
   the payload (``BENCH_trace[.fast].json``) and uploaded as a CI artifact;
+* ``paper_core`` — the W4A8 numeric path on Llama2-7B's full QKV weight (12288 x 4096):
+  elements/s of LQQ quantization, dual-MMA packing, register-path dequantization and the
+  INT8 GEMM, plus the deterministic work counts (tiles packed, registers dequantized,
+  emulated instructions) the tier-1 suite pins, and ``bit_exact`` (register path ==
+  Equation 12 on the whole matrix);
 * ``tensor_parallel_llama2_70b`` — the TP acceptance scenario (OOM on one GPU, finite on 4).
 
 The payload always matches ``SCHEMA`` below (validated before writing; the tier-1 suite
@@ -73,17 +78,27 @@ import os
 import pstats
 import time
 
+import numpy as np
+
 from repro.core import simulate_cluster, simulate_serving
+from repro.isa import InstructionStats
+from repro.kernels.base import PreparedWeights
+from repro.kernels.liquidgemm import LiquidGemmKernel
+from repro.layout.dual_mma import pack_weight_matrix
+from repro.quant.activation import quantize_activation_per_token
+from repro.quant.liquidquant import lqq_dequantize_int8, lqq_quantize
 from repro.reporting.schema import validate_payload as _validate_schema
 from repro.serving import (
     ContinuousBatchingScheduler,
     ServingEngine,
     SloSpec,
     compute_slo_report,
+    get_model,
 )
 from repro.serving.systems import list_systems
 from repro.sweep import SINGLE_REPLICA, SweepGrid, cells_identical, run_sweep, write_sweep_json
 from repro.telemetry import Tracer, request_breakdowns, write_chrome_trace
+from repro.workloads import decode_layer_gemms
 from repro.workloads.traces import LengthDistribution, agent_swarm_trace
 
 RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_scheduler.json")
@@ -105,6 +120,8 @@ TRACE_FAST_RESULT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_trace.fast.json"
 )
 
+#: Decode tokens multiplying the paper_core QKV weight in its INT8 GEMM stage.
+PAPER_CORE_TOKENS = 16
 #: Shared A/B workload: a KV-constrained pool (device budget shrunk well below the 80 GB
 #: derived default) so the ShareGPT long tail forces preemption churn, plus a host swap pool.
 AB_KV_BUDGET_BYTES = 2 * 2**30
@@ -313,6 +330,22 @@ SCHEMA = {
         "bit_identical": bool,       # tracer-on simulated results == tracer-off, live
         "breakdowns_exact": bool,    # every phase breakdown tiles its e2e latency
         "trace_artifact": str,
+    },
+    "paper_core": {
+        "workload": dict,
+        "harness": {
+            "quantize_elements_per_s": float,
+            "pack_elements_per_s": float,
+            "register_dequant_elements_per_s": float,
+            "int_gemm_elements_per_s": float,
+            "wall_time_s": float,
+        },
+        "counts": {
+            "tiles_packed": int,
+            "registers_dequantized": int,
+            "emulated_instructions": int,
+        },
+        "bit_exact": bool,
     },
     "tensor_parallel_llama2_70b": {
         "single_gpu_oom": bool,
@@ -959,6 +992,57 @@ def bench_tensor_parallel() -> dict:
     }
 
 
+def bench_paper_core() -> dict:
+    """The paper core at array speed on Llama2-7B's full QKV weight (12288 x 4096).
+
+    Times each stage once — LQQ quantization, dual-MMA packing, the IMAD/XOR register-path
+    dequantization of every packed word, and the INT8 GEMM — as weight elements per second,
+    and records the deterministic work counts the tier-1 suite pins (tiles packed,
+    registers dequantized, emulated instructions).  ``bit_exact`` checks the register path
+    against Equation 12 on the whole matrix.  No fast-mode trimming: the shape is the point.
+    """
+    model = get_model("llama2-7b")
+    shape = decode_layer_gemms(model, PAPER_CORE_TOKENS).qkv
+    rng = np.random.default_rng(0)
+    w = rng.normal(0.0, 0.02, (shape.n, shape.k))
+    x = rng.normal(0.0, 1.0, (shape.m, shape.k))
+    kernel = LiquidGemmKernel()
+    elements = shape.n * shape.k
+    stages = {}
+
+    def timed(stage, call):
+        start = time.perf_counter()
+        result = call()
+        stages[stage] = time.perf_counter() - start
+        return result
+
+    qw = timed("quantize", lambda: lqq_quantize(w, kernel.config))
+    packed = timed("pack", lambda: pack_weight_matrix(qw.q_u4))
+    prepared = PreparedWeights(kernel=kernel.name, original=w,
+                               payload={"lqq": qw, "packed": packed},
+                               deployed_bytes=qw.memory_bytes())
+    w_i8 = timed("register_dequant", lambda: kernel.dequantize_weights(prepared))
+    qa = quantize_activation_per_token(x)
+    timed("int_gemm", lambda: qa.q_i8.astype(np.int64) @ w_i8.astype(np.int64).T)
+    stats = InstructionStats()
+    kernel.dequantize_weights(prepared, stats=stats)  # untimed: counting only
+    return {
+        "workload": {"model": "llama2-7b", "matrix": "qkv", "n": shape.n, "k": shape.k,
+                     "tokens": shape.m, "group_size": kernel.config.group_size, "seed": 0},
+        "harness": {
+            **{f"{stage}_elements_per_s": round(elements / s, 1)
+               for stage, s in stages.items()},
+            "wall_time_s": round(sum(stages.values()), 3),
+        },
+        "counts": {
+            "tiles_packed": int(np.prod(packed.tile_grid)),
+            "registers_dequantized": int(packed.tiles.size),
+            "emulated_instructions": stats.total_instructions,
+        },
+        "bit_exact": bool(np.array_equal(w_i8, lqq_dequantize_int8(qw))),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
@@ -997,6 +1081,7 @@ def main() -> None:
             baseline_wall_s=trace_section["harness"]["wall_time_s"],
             fast_mode=args.fast,
         ),
+        "paper_core": bench_paper_core(),
         "tensor_parallel_llama2_70b": bench_tensor_parallel(),
     }
     validate_payload(payload)

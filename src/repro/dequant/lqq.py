@@ -56,6 +56,8 @@ LQQ_ELEMENTS_PER_REGISTER = 8
 _LOW_NIBBLE_MASK = 0x0F0F0F0F
 _HIGH_NIBBLE_MASK = 0xF0F0F0F0
 _SIGN_FLIP = 0x80808080
+#: The seven-instruction sequence above, as (opcode, occurrences) for instruction accounting.
+_SEQUENCE_OPCODES = (("and.b32", 2), ("shr.b32", 1), ("imad.u32", 2), ("xor.b32", 2))
 
 
 def lqq_alpha() -> float:
@@ -74,22 +76,8 @@ def lqq_dequant_register(
     Returns ``(low, high)`` packed byte registers holding elements (w0..w3) and (w4..w7)
     respectively, each byte being the INT8 result in two's-complement form.
     """
-    if not 1 <= int(scale_u8) <= 16:
-        raise ValueError("second-level scale must lie in [1, 16]")
-    if not 0 <= int(offset_a) <= 255:
-        raise ValueError("offset a must fit in UINT8")
-    reg = to_u32(register)
-    a_packed = broadcast_byte(int(offset_a))
-
-    r_lo = and_b32(reg, _LOW_NIBBLE_MASK, stats)
-    r_hi = and_b32(reg, _HIGH_NIBBLE_MASK, stats)
-    r_hi = shr_b32(r_hi, 4, stats)
-
-    r_lo = imad_u32(r_lo, int(scale_u8), a_packed, stats)
-    r_lo = xor_b32(r_lo, _SIGN_FLIP, stats)
-    r_hi = imad_u32(r_hi, int(scale_u8), a_packed, stats)
-    r_hi = xor_b32(r_hi, _SIGN_FLIP, stats)
-    return r_lo, r_hi
+    out = lqq_dequant_registers(register, int(scale_u8), int(offset_a), stats)
+    return out[..., 0], out[..., 1]
 
 
 def lqq_dequant_registers(
@@ -101,29 +89,42 @@ def lqq_dequant_registers(
     """Dequantize an array of packed registers with per-register scale/offset.
 
     ``registers``, ``scale_u8`` and ``offset_a`` must be broadcast-compatible; the result has
-    shape ``registers.shape + (2,)`` holding the (low, high) output byte registers.
+    shape ``registers.shape + (2,)`` holding the (low, high) output byte registers.  Each of
+    the seven instructions runs once over the whole array, with the scale and the packed
+    offset ``a * 0x01010101`` supplied per register.
 
     Instruction counting note: in SIMT execution, registers processed by *different threads in
-    the same instruction* cost one issue each per thread; this helper conservatively counts one
-    instruction sequence per distinct (scale, offset) group it loops over, mirroring a per-
-    thread trace.  Use :func:`lqq_alpha` for the analytic per-element cost.
+    the same instruction* cost one issue each per thread.  The last axis of ``registers`` holds
+    one thread's registers, and ``stats`` conservatively records one instruction sequence per
+    distinct (scale, offset) pair among them, mirroring a per-thread trace — for a scalar or
+    1-D call, one sequence per distinct pair in the call.  Use :func:`lqq_alpha` for the
+    analytic per-element cost.
     """
     registers = to_u32(registers)
     scale_u8 = np.broadcast_to(np.asarray(scale_u8), registers.shape)
     offset_a = np.broadcast_to(np.asarray(offset_a), registers.shape)
-    out = np.zeros(registers.shape + (2,), dtype=np.uint32)
+    if scale_u8.size and (scale_u8.min() < 1 or scale_u8.max() > 16):
+        raise ValueError("second-level scale must lie in [1, 16]")
+    if offset_a.size and (offset_a.min() < 0 or offset_a.max() > 255):
+        raise ValueError("offset a must fit in UINT8")
+    scale = scale_u8.astype(np.uint32)
+    a_packed = offset_a.astype(np.uint32) * np.uint32(broadcast_byte(1))
 
-    # Vectorize over registers sharing (scale, offset): each unique pair is one emulated
-    # per-thread instruction sequence applied to all its registers at once.
-    pairs = np.stack([scale_u8.reshape(-1), offset_a.reshape(-1)], axis=1)
-    flat_regs = registers.reshape(-1)
-    flat_out = out.reshape(-1, 2)
-    unique_pairs = np.unique(pairs, axis=0)
-    for s, a in unique_pairs:
-        mask = (pairs[:, 0] == s) & (pairs[:, 1] == a)
-        lo, hi = lqq_dequant_register(flat_regs[mask], int(s), int(a), stats)
-        flat_out[mask, 0] = lo
-        flat_out[mask, 1] = hi
+    out = np.empty(registers.shape + (2,), dtype=np.uint32)
+    r_lo = and_b32(registers, _LOW_NIBBLE_MASK)
+    r_hi = and_b32(registers, _HIGH_NIBBLE_MASK)
+    r_hi = shr_b32(r_hi, 4)
+    out[..., 0] = xor_b32(imad_u32(r_lo, scale, a_packed), _SIGN_FLIP)
+    out[..., 1] = xor_b32(imad_u32(r_hi, scale, a_packed), _SIGN_FLIP)
+
+    if stats is not None:
+        pairs = scale_u8.astype(np.int64) * 256 + offset_a.astype(np.int64)
+        sequences = 0
+        if pairs.size:
+            threads = np.sort(pairs.reshape(-1, pairs.shape[-1] if pairs.ndim else 1), axis=1)
+            sequences = threads.shape[0] + np.count_nonzero(np.diff(threads, axis=1))
+        for opcode, per_sequence in _SEQUENCE_OPCODES:
+            stats.record(opcode, count=per_sequence * int(sequences))
     return out
 
 

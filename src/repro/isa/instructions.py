@@ -53,8 +53,13 @@ MASK32 = np.uint32(0xFFFFFFFF)
 
 
 def to_u32(values) -> np.ndarray:
-    """Coerce ``values`` to a ``uint32`` NumPy array (truncating to 32 bits)."""
+    """Coerce ``values`` to a ``uint32`` NumPy array (truncating to 32 bits).
+
+    A ``uint32`` array is returned as it is, without a copy.
+    """
     arr = np.asarray(values)
+    if arr.dtype == np.uint32:
+        return arr
     if arr.dtype.kind == "f":
         raise TypeError("register values must be integral")
     return (arr.astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)

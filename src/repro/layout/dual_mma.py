@@ -15,11 +15,15 @@ memory, in a flat 1-D order indexed by ``(warp, thread)``.  Consequences reprodu
 The functions below implement the offline reordering (a pure permutation — verified bijective
 by tests), the per-thread register view used by the emulated dequantization, and the
 load-analysis counterpart to :func:`repro.layout.conventional.analyze_conventional_loads`.
+Whole matrices are packed and unpacked at array speed through one cached ``(128, 32, 2)``
+gather table (:func:`dual_mma_gather_table`); the single-tile functions are thin wrappers
+over the matrix ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -41,12 +45,16 @@ __all__ = [
     "ELEMENTS_PER_THREAD_DUAL",
     "PackedDualMmaTile",
     "dual_mma_element_order",
+    "dual_mma_gather_table",
+    "gather_lane_elements",
+    "scatter_lane_elements",
     "pack_dual_mma_tile",
     "unpack_dual_mma_tile",
     "thread_registers",
     "analyze_dual_mma_loads",
     "analyze_packed_2d_lds128",
     "pack_weight_matrix",
+    "unpack_weight_matrix",
     "PackedWeightMatrix",
 ]
 
@@ -90,33 +98,66 @@ class PackedDualMmaTile:
         return self.words.size * 4
 
 
+@lru_cache(maxsize=None)
+def dual_mma_gather_table() -> np.ndarray:
+    """``(128, 32, 2)`` read-only table: ``[lane, e]`` is the (row, col) of the lane's
+    ``e``-th element in a 64x64 tile (lane = ``warp * 32 + thread``).
+
+    Built on first use from :func:`dual_mma_element_order`, so importing the package stays
+    cheap; every whole-matrix pack, unpack and dequantization gathers through it.
+    """
+    table = np.array(
+        [dual_mma_element_order(lane // THREADS_PER_WARP, lane % THREADS_PER_WARP)
+         for lane in range(_TOTAL_THREADS)],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _tile_permutation() -> Tuple[np.ndarray, np.ndarray]:
+    """The gather table as flat indices into a row-major 64x64 tile, and its inverse."""
+    table = dual_mma_gather_table()
+    flat = (table[..., 0] * DUAL_MMA_TILE_COLS + table[..., 1]).reshape(-1)
+    return flat, np.argsort(flat)
+
+
+def gather_lane_elements(matrix: np.ndarray) -> np.ndarray:
+    """Reorder a ``(64*tn, 64*tk)`` matrix into ``(tn, tk, 128, 32)`` per-lane element order."""
+    tn, tk = matrix.shape[0] // DUAL_MMA_TILE_ROWS, matrix.shape[1] // DUAL_MMA_TILE_COLS
+    tiles = matrix.reshape(tn, DUAL_MMA_TILE_ROWS, tk, DUAL_MMA_TILE_COLS).transpose(0, 2, 1, 3)
+    tiles = np.ascontiguousarray(tiles).reshape(tn, tk, -1)
+    lanes = np.take(tiles, _tile_permutation()[0], axis=2)
+    return lanes.reshape(tn, tk, _TOTAL_THREADS, ELEMENTS_PER_THREAD_DUAL)
+
+
+def scatter_lane_elements(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`gather_lane_elements`: ``(tn, tk, 128, 32)`` -> ``(64*tn, 64*tk)``."""
+    tn, tk = values.shape[:2]
+    tiles = np.take(values.reshape(tn, tk, -1), _tile_permutation()[1], axis=2)
+    tiles = tiles.reshape(tn, tk, DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS).transpose(0, 2, 1, 3)
+    return tiles.reshape(tn * DUAL_MMA_TILE_ROWS, tk * DUAL_MMA_TILE_COLS)
+
+
 def pack_dual_mma_tile(tile_u4: np.ndarray) -> PackedDualMmaTile:
     """Reorder and pack a (64, 64) UINT4 tile into the flat dual-MMA layout."""
     tile_u4 = np.asarray(tile_u4)
     if tile_u4.shape != (DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS):
         raise ValueError(f"expected a {(DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS)} tile")
-    words = np.zeros((_TOTAL_THREADS, _REGISTERS_PER_THREAD), dtype=np.uint32)
-    for warp in range(WARPS_PER_WARP_GROUP):
-        for thread in range(THREADS_PER_WARP):
-            lane = warp * THREADS_PER_WARP + thread
-            order = dual_mma_element_order(warp, thread)
-            values = np.array([tile_u4[r, c] for r, c in order], dtype=np.uint8)
-            # Eight elements per register, packed in the interleaved nibble order so the
-            # two-instruction unpack (AND / AND+SHR) of Figure 8 separates them into bytes.
-            words[lane] = pack_u4_interleaved(values.reshape(_REGISTERS_PER_THREAD, 8))
-    return PackedDualMmaTile(words=words)
+    return PackedDualMmaTile(words=pack_weight_matrix(tile_u4).tiles[0, 0])
 
 
-def unpack_dual_mma_tile(packed: PackedDualMmaTile) -> np.ndarray:
-    """Invert :func:`pack_dual_mma_tile`, reconstructing the (64, 64) UINT4 tile."""
-    tile = np.zeros((packed.rows, packed.cols), dtype=np.uint8)
-    for warp in range(WARPS_PER_WARP_GROUP):
-        for thread in range(THREADS_PER_WARP):
-            lane = warp * THREADS_PER_WARP + thread
-            values = unpack_u4_interleaved(packed.words[lane]).reshape(-1)
-            for (r, c), v in zip(dual_mma_element_order(warp, thread), values):
-                tile[r, c] = v
-    return tile
+def unpack_dual_mma_tile(packed) -> np.ndarray:
+    """Invert :func:`pack_dual_mma_tile`, reconstructing the (64, 64) UINT4 tile.
+
+    ``packed`` is a :class:`PackedDualMmaTile` or its ``(128, 4)`` words, e.g. one entry of
+    :attr:`PackedWeightMatrix.tiles`.
+    """
+    words = np.asarray(getattr(packed, "words", packed))
+    return unpack_weight_matrix(
+        PackedWeightMatrix(tiles=words[None, None], n=DUAL_MMA_TILE_ROWS, k=DUAL_MMA_TILE_COLS)
+    )
 
 
 def thread_registers(packed: PackedDualMmaTile, warp: int, thread: int) -> np.ndarray:
@@ -172,39 +213,48 @@ def analyze_packed_2d_lds128(row_pitch_bytes: int = 128) -> LoadAnalysis:
 class PackedWeightMatrix:
     """A full (N, K) UINT4 weight matrix packed tile-by-tile into the dual-MMA layout.
 
-    ``tiles[i][j]`` is the packed 64x64 tile covering rows ``[64i, 64i+64)`` and columns
-    ``[64j, 64j+64)``.  Ragged edges are zero-padded (zero UINT4 codes dequantize to the group
-    minimum, which contributes nothing once multiplied by zero-padded activations).
+    ``tiles`` is one ``(tiles_n, tiles_k, 128, 4)`` uint32 array: ``tiles[i, j]`` holds the
+    packed words of the 64x64 tile covering rows ``[64i, 64i+64)`` and columns
+    ``[64j, 64j+64)``, four registers per lane in lane order — the bytes a real kernel
+    streams through GMEM and SMEM.  Ragged edges are zero-padded (zero UINT4 codes
+    dequantize to the group minimum, which contributes nothing once multiplied by
+    zero-padded activations).
     """
 
-    tiles: List[List[PackedDualMmaTile]]
+    tiles: np.ndarray
     n: int
     k: int
 
     @property
     def tile_grid(self) -> Tuple[int, int]:
-        return len(self.tiles), len(self.tiles[0]) if self.tiles else 0
+        return self.tiles.shape[0], self.tiles.shape[1]
 
     def gmem_bytes(self) -> int:
-        return sum(t.smem_bytes() for row in self.tiles for t in row)
+        return self.tiles.nbytes
 
 
 def pack_weight_matrix(q_u4: np.ndarray) -> PackedWeightMatrix:
-    """Pack an (N, K) UINT4 code matrix into dual-MMA tiles (offline weight reordering)."""
+    """Pack an (N, K) UINT4 code matrix into dual-MMA tiles (offline weight reordering).
+
+    All tiles are packed at once: the codes are gathered into per-lane order and every run
+    of eight becomes one register in the interleaved nibble order, so the two-instruction
+    unpack (AND / AND+SHR) of Figure 8 separates them into bytes.
+    """
     q_u4 = np.asarray(q_u4)
     if q_u4.ndim != 2:
         raise ValueError("expected a 2-D code matrix")
     n, k = q_u4.shape
-    rows_pad = (n + DUAL_MMA_TILE_ROWS - 1) // DUAL_MMA_TILE_ROWS * DUAL_MMA_TILE_ROWS
-    cols_pad = (k + DUAL_MMA_TILE_COLS - 1) // DUAL_MMA_TILE_COLS * DUAL_MMA_TILE_COLS
+    rows_pad = -(-n // DUAL_MMA_TILE_ROWS) * DUAL_MMA_TILE_ROWS
+    cols_pad = -(-k // DUAL_MMA_TILE_COLS) * DUAL_MMA_TILE_COLS
     padded = np.zeros((rows_pad, cols_pad), dtype=np.uint8)
     padded[:n, :k] = q_u4
-    tiles: List[List[PackedDualMmaTile]] = []
-    for i in range(0, rows_pad, DUAL_MMA_TILE_ROWS):
-        row_tiles = []
-        for j in range(0, cols_pad, DUAL_MMA_TILE_COLS):
-            row_tiles.append(
-                pack_dual_mma_tile(padded[i : i + DUAL_MMA_TILE_ROWS, j : j + DUAL_MMA_TILE_COLS])
-            )
-        tiles.append(row_tiles)
-    return PackedWeightMatrix(tiles=tiles, n=n, k=k)
+    lanes = gather_lane_elements(padded)
+    words = pack_u4_interleaved(lanes.reshape(lanes.shape[:3] + (_REGISTERS_PER_THREAD, 8)))
+    return PackedWeightMatrix(tiles=words, n=n, k=k)
+
+
+def unpack_weight_matrix(packed: PackedWeightMatrix) -> np.ndarray:
+    """Invert :func:`pack_weight_matrix`, reconstructing the (N, K) UINT4 code matrix."""
+    codes = unpack_u4_interleaved(packed.tiles)
+    matrix = scatter_lane_elements(codes.reshape(codes.shape[:3] + (ELEMENTS_PER_THREAD_DUAL,)))
+    return np.ascontiguousarray(matrix[: packed.n, : packed.k])

@@ -45,17 +45,17 @@ def _check_u4(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.size and (values.min() < 0 or values.max() > 15):
         raise ValueError("UINT4 codes must lie in [0, 15]")
-    return values.astype(np.uint32)
+    if values.shape[-1:] != (8,):
+        raise ValueError("last dimension must be 8 (eight nibbles per 32-bit register)")
+    return values
 
 
 def pack_u4_sequential(values: np.ndarray) -> np.ndarray:
     """Pack UINT4 codes ``(..., 8)`` into ``uint32`` registers ``(...)`` in sequential order."""
     values = _check_u4(values)
-    if values.shape[-1] != 8:
-        raise ValueError("last dimension must be 8 (eight nibbles per 32-bit register)")
     out = np.zeros(values.shape[:-1], dtype=np.uint32)
     for nibble in range(8):
-        out |= values[..., nibble] << np.uint32(4 * nibble)
+        out |= values[..., nibble].astype(np.uint32) << np.uint32(4 * nibble)
     return out
 
 
@@ -71,11 +71,9 @@ def unpack_u4_sequential(registers: np.ndarray) -> np.ndarray:
 def pack_u4_interleaved(values: np.ndarray) -> np.ndarray:
     """Pack UINT4 codes ``(..., 8)`` into registers using the dual-MMA interleaved order."""
     values = _check_u4(values)
-    if values.shape[-1] != 8:
-        raise ValueError("last dimension must be 8 (eight nibbles per 32-bit register)")
     out = np.zeros(values.shape[:-1], dtype=np.uint32)
     for nibble, element in enumerate(INTERLEAVED_NIBBLE_ORDER):
-        out |= values[..., element] << np.uint32(4 * nibble)
+        out |= values[..., element].astype(np.uint32) << np.uint32(4 * nibble)
     return out
 
 

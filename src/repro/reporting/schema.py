@@ -10,16 +10,36 @@ across PRs.  The schema language is deliberately minimal:
 * a one-element ``list`` instance ``[sub]`` is a homogeneous list of ``sub``;
 * a type leaf (``int``, ``float``, ``str``, ``bool``) requires that type — ``int``
   also satisfies a ``float`` leaf, but ``bool`` satisfies neither (a classic JSON
-  footgun: ``True`` is an ``int`` subclass in Python).
+  footgun: ``True`` is an ``int`` subclass in Python);
+* :class:`OneOf` ``(a, b, ...)`` accepts a payload matching any one alternative (e.g. a
+  sweep row that either carries metrics or records why its cell failed).
 """
 
 from __future__ import annotations
 
-__all__ = ["validate_payload"]
+__all__ = ["OneOf", "validate_payload"]
+
+
+class OneOf:
+    """Schema node satisfied by a payload that matches at least one of ``alternatives``."""
+
+    def __init__(self, *alternatives):
+        if len(alternatives) < 2:
+            raise ValueError("OneOf needs at least two alternative schemas")
+        self.alternatives = alternatives
 
 
 def validate_payload(payload, schema, path: str = "$") -> None:
     """Assert ``payload`` matches ``schema``; raises ValueError naming the first mismatch."""
+    if isinstance(schema, OneOf):
+        errors = []
+        for alternative in schema.alternatives:
+            try:
+                validate_payload(payload, alternative, path)
+                return
+            except ValueError as exc:
+                errors.append(str(exc))
+        raise ValueError(f"{path}: matches no alternative ({'; '.join(errors)})")
     if isinstance(schema, dict):
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: expected object, got {type(payload).__name__}")

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .engine import ServingEngine
 from .metrics import SloReport, SloSpec, compute_slo_report
 from .router import RouterPolicy, get_router_policy
-from .scheduler import ContinuousBatchingScheduler, Request, SchedulerStats
+from .scheduler import ContinuousBatchingScheduler, Request, SchedulerStats, check_unique_ids
 from .systems import (
     REPLICA_ROLE_DECODE,
     REPLICA_ROLE_PREFILL,
@@ -297,9 +297,7 @@ class ServingCluster:
         original objects by id.  Like the single-replica scheduler, scheduler-owned fields
         are reset on entry so a trace can be re-run for A/Bs.
         """
-        ids = [r.request_id for r in requests]
-        if len(set(ids)) != len(ids):
-            raise ValueError("cluster routing requires unique request ids")
+        check_unique_ids(requests)
         for request in requests:
             # All replicas share one pool geometry; validating against the first catches
             # never-servable requests before any state mutates.

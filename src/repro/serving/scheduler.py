@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,7 +62,7 @@ from .policies import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, keeps serving decoupled
     from ..telemetry.tracer import Tracer
 
-__all__ = ["Request", "SchedulerStats", "ContinuousBatchingScheduler"]
+__all__ = ["Request", "SchedulerStats", "ContinuousBatchingScheduler", "check_unique_ids"]
 
 
 @dataclass(eq=False, slots=True)
@@ -211,6 +212,21 @@ class SchedulerStats:
         return compute_slo_report(self.requests, slo, makespan_s=self.simulated_time_s)
 
 
+def _repeated_id_error(request_id: int) -> ValueError:
+    return ValueError(
+        f"request {request_id}: request_id repeats; a run requires unique request ids"
+    )
+
+
+def check_unique_ids(requests: Sequence[Request]) -> None:
+    """Reject a trace in which two requests share a ``request_id``."""
+    seen = set()
+    for request in requests:
+        if request.request_id in seen:
+            raise _repeated_id_error(request.request_id)
+        seen.add(request.request_id)
+
+
 class ContinuousBatchingScheduler:
     """Iteration-level scheduler over the serving engine's ragged step-time model.
 
@@ -300,6 +316,13 @@ class ContinuousBatchingScheduler:
 
     # ------------------------------------------------------------------ internals
     def _check_servable(self, request: Request) -> None:
+        if not 0.0 <= request.arrival_time_s < math.inf:
+            # NaN fails every comparison; admitted, it would never be popped and the run
+            # would loop forever.
+            raise ValueError(
+                f"request {request.request_id}: arrival_time_s must be finite and >= 0, "
+                f"got {request.arrival_time_s}"
+            )
         if request.prompt_tokens < 1 or request.output_tokens < 1:
             raise ValueError(
                 f"request {request.request_id}: prompt_tokens and output_tokens must be >= 1"
@@ -390,6 +413,7 @@ class ContinuousBatchingScheduler:
         self._swapped: List[Request] = []
         self._completed: List[Request] = []
         self._newly_completed: List[Request] = []
+        self._submitted_ids: set = set()
         self._clock = clock
         self._pending_transfer_s = 0.0
         self._generated_tokens = 0
@@ -462,8 +486,12 @@ class ContinuousBatchingScheduler:
 
         ``now`` is the submission time: an idle replica's clock jumps forward to it (a busy
         replica's clock is already past it — the request waits for the next iteration).
+        A ``request_id`` already submitted in this session is rejected with a ``ValueError``.
         """
         self._check_servable(request)
+        if request.request_id in self._submitted_ids:
+            raise _repeated_id_error(request.request_id)
+        self._submitted_ids.add(request.request_id)
         request.reset_scheduler_state()
         if now is not None:
             self._clock = max(self._clock, now)
@@ -1476,8 +1504,11 @@ class ContinuousBatchingScheduler:
 
         Scheduler-owned fields on each request (timestamps, progress counters) are reset on
         entry, so the same trace can be re-run — e.g. to A/B two systems or two policies —
-        without stale state leaking between runs.
+        without stale state leaking between runs.  A trace with a repeated ``request_id``,
+        an arrival that is NaN, infinite or negative, or a request that can never fit the
+        KV pool is rejected with a ``ValueError`` before any state changes.
         """
+        check_unique_ids(requests)
         for request in requests:
             self._check_servable(request)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backend import available_kernels, available_kv_formats, scheme_output_rmse, weight_quant_scheme
-from .reporting.schema import validate_payload
+from .reporting.schema import OneOf, validate_payload
 from .serving.cluster import ServingCluster
 from .serving.engine import ServingEngine
 from .serving.metrics import SloSpec
@@ -69,10 +69,48 @@ __all__ = [
     "resolve_cell_profile",
     "compute_frontier",
     "run_sweep",
+    "cell_failed",
     "cells_identical",
     "write_sweep_json",
 ]
 
+
+#: Identity fields every sweep row carries, whether or not its cell ran.
+_CELL_KEY_SCHEMA = {
+    "index": int,
+    "system": str,
+    "model": str,
+    "scheduling_policy": str,
+    "preemption_policy": str,
+    "arrival_rate_rps": float,
+    "cluster": dict,
+    "seed": int,
+}
+
+#: A cell that ran to completion.
+_CELL_ROW_SCHEMA = dict(
+    _CELL_KEY_SCHEMA,
+    kernel=str,       # effective GEMM kernel (system default unless overridden)
+    kv_format=str,    # effective KV-cache format
+    wall_time_s=float,
+    metrics={
+        "completed_requests": int,
+        "generated_tokens": int,
+        "throughput_tokens_per_s": float,
+        "simulated_time_s": float,
+        "iterations": int,
+        "preemptions": int,
+        "p50_ttft_s": float,
+        "p99_ttft_s": float,
+        "p99_tpot_s": float,
+        "slo_attainment": float,
+        "goodput_rps": float,
+    },
+)
+
+#: A cell whose execution raised: ``status`` is ``"failed"`` and ``error`` names the
+#: exception.  Failed rows carry no metrics and never enter the frontier.
+_FAILED_CELL_ROW_SCHEMA = dict(_CELL_KEY_SCHEMA, status=str, error=str)
 
 #: Schema of the consolidated sweep payload (see repro.reporting.schema for the language).
 SWEEP_SCHEMA = {
@@ -82,35 +120,8 @@ SWEEP_SCHEMA = {
     "workers": int,
     "parallel": bool,
     "wall_time_s": float,
-    "cells": [
-        {
-            "index": int,
-            "system": str,
-            "model": str,
-            "scheduling_policy": str,
-            "preemption_policy": str,
-            "arrival_rate_rps": float,
-            "cluster": dict,
-            "seed": int,
-            "kernel": str,       # effective GEMM kernel (system default unless overridden)
-            "kv_format": str,    # effective KV-cache format
-            "wall_time_s": float,
-            "metrics": {
-                "completed_requests": int,
-                "generated_tokens": int,
-                "throughput_tokens_per_s": float,
-                "simulated_time_s": float,
-                "iterations": int,
-                "preemptions": int,
-                "p50_ttft_s": float,
-                "p99_ttft_s": float,
-                "p99_tpot_s": float,
-                "slo_attainment": float,
-                "goodput_rps": float,
-            },
-        }
-    ],
-    # Pareto frontier over (goodput-per-GPU, accuracy proxy) across all cells: the
+    "cells": [OneOf(_CELL_ROW_SCHEMA, _FAILED_CELL_ROW_SCHEMA)],
+    # Pareto frontier over (goodput-per-GPU, accuracy proxy) across the cells that ran: the
     # headline quant-format x kernel x kv_format interaction, reported alongside the raw
     # grid so downstream tooling never recomputes it.
     "frontier": {
@@ -444,6 +455,22 @@ def _run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     return row
 
 
+def _run_cell_or_record(cell: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one cell; an exception becomes a failed row instead of losing the whole grid."""
+    try:
+        return _run_cell(cell)
+    except Exception as exc:  # any cell fault is reported in its row, not raised
+        row = {key: cell[key] for key in _CELL_KEY_SCHEMA}
+        row["cluster"] = dict(cell["cluster"], label=_cluster_label(cell["cluster"]))
+        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        return row
+
+
+def cell_failed(row: Dict[str, Any]) -> bool:
+    """True for a sweep row whose cell raised (it carries ``status``/``error``, no metrics)."""
+    return row.get("status") == "failed"
+
+
 def _cell_gpus(cluster: Dict[str, Any], tp_degree: int) -> int:
     """GPU count a cell occupies: replicas in its cluster shape x tensor-parallel degree."""
     mode = cluster.get("mode", "single")
@@ -470,6 +497,8 @@ def compute_frontier(results: Sequence[Dict[str, Any]], tp_degree: int = 1) -> D
     """
     candidates = []
     for row in results:
+        if cell_failed(row):
+            continue
         gpus = _cell_gpus(row["cluster"], tp_degree)
         rmse = scheme_output_rmse(weight_quant_scheme(row["kernel"]))
         candidates.append(
@@ -521,7 +550,9 @@ def run_sweep(
     runs the cells inline, in order, in this process.  Either way the result rows are
     ordered by cell index and — wall-clock fields aside — byte-identical between the two
     modes: cells are seeded by parameter key and share no mutable state beyond the pure
-    per-process engine caches (see :func:`cells_identical`).
+    per-process engine caches (see :func:`cells_identical`).  A cell that raises does not
+    abort the sweep: its row records ``status="failed"`` and the ``error``, and it is left
+    out of the frontier (see :func:`cell_failed`).
     """
     cells = grid.cells()
     start = time.perf_counter()
@@ -529,10 +560,10 @@ def run_sweep(
         workers = max_workers or (os.cpu_count() or 1)
         chunksize = max(1, len(cells) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_run_cell, cells, chunksize=chunksize))
+            results = list(executor.map(_run_cell_or_record, cells, chunksize=chunksize))
     else:
         workers = 1
-        results = [_run_cell(cell) for cell in cells]
+        results = [_run_cell_or_record(cell) for cell in cells]
     wall_s = time.perf_counter() - start
     payload = {
         "benchmark": "repro.sweep",
@@ -635,8 +666,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     )
     payload = run_sweep(grid, max_workers=args.workers, parallel=not args.serial)
     path = write_sweep_json(payload, args.out)
+    failed = sum(cell_failed(row) for row in payload["cells"])
     print(
-        f"{payload['num_cells']} cells in {payload['wall_time_s']:.2f}s "
+        f"{payload['num_cells']} cells ({failed} failed) "
+        f"in {payload['wall_time_s']:.2f}s "
         f"({payload['workers']} worker{'s' if payload['workers'] != 1 else ''}) -> {path}"
     )
 

@@ -201,6 +201,23 @@ class TestBenchSchema:
         assert simulated["throughput_tokens_per_s"] == 4410.5
         assert simulated["iterations"] == 9626
 
+    def test_paper_core_counts_pinned(self, payload):
+        """The W4A8 numeric path on the full Llama2-7B QKV weight: deterministic work
+        counts (no wall-time floor) and a bit-exact register path."""
+        section = payload["paper_core"]
+        workload = section["workload"]
+        assert (workload["n"], workload["k"], workload["group_size"]) == (12288, 4096, 64)
+        counts = section["counts"]
+        tiles = (workload["n"] // 64) * (workload["k"] // 64)
+        assert counts["tiles_packed"] == tiles == 12288
+        assert counts["registers_dequantized"] == tiles * 128 * 4 == 6_291_456
+        # One 7-op sequence per distinct (scale, offset) pair in each thread's four
+        # registers: between one and two per thread on this matrix.
+        assert counts["emulated_instructions"] == 21_959_840
+        assert section["bit_exact"] is True
+        for stage in ("quantize", "pack", "register_dequant", "int_gemm"):
+            assert section["harness"][f"{stage}_elements_per_s"] > 0.0
+
     def test_validator_rejects_mutations(self, bench, payload):
         broken = json.loads(json.dumps(payload))
         del broken["preemption_ab"]["hybrid_goodput_ge_recompute"]

@@ -21,7 +21,9 @@ from repro.layout import (
     thread_fragment_elements,
     thread_registers,
     unpack_dual_mma_tile,
+    unpack_weight_matrix,
 )
+from repro.layout.packing import pack_u4_interleaved
 
 
 class TestFragmentMap:
@@ -150,3 +152,47 @@ class TestPackedWeightMatrix:
     def test_requires_2d(self, rng):
         with pytest.raises(ValueError):
             pack_weight_matrix(rng.integers(0, 16, (64,)).astype(np.uint8))
+
+
+def _pack_matrix_tile_by_tile(q_u4: np.ndarray) -> np.ndarray:
+    """Per-tile, per-lane packing loop: the reference the vectorized packer must match."""
+    n, k = q_u4.shape
+    tiles_n, tiles_k = -(-n // 64), -(-k // 64)
+    padded = np.zeros((tiles_n * 64, tiles_k * 64), dtype=np.uint8)
+    padded[:n, :k] = q_u4
+    words = np.zeros((tiles_n, tiles_k, 128, 4), dtype=np.uint32)
+    for i in range(tiles_n):
+        for j in range(tiles_k):
+            tile = padded[64 * i : 64 * i + 64, 64 * j : 64 * j + 64]
+            for lane in range(128):
+                order = dual_mma_element_order(lane // 32, lane % 32)
+                values = np.array([tile[r, c] for r, c in order], dtype=np.uint8)
+                words[i, j, lane] = pack_u4_interleaved(values.reshape(4, 8))
+    return words
+
+
+class TestVectorizedMatrixPacking:
+    @given(
+        st.integers(1, 150).flatmap(
+            lambda n: st.integers(1, 150).flatmap(
+                lambda k: hnp.arrays(np.uint8, (n, k), elements=st.integers(0, 15))
+            )
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_tile_loop_and_round_trips(self, q):
+        packed = pack_weight_matrix(q)
+        assert packed.tiles.dtype == np.uint32
+        assert np.array_equal(packed.tiles, _pack_matrix_tile_by_tile(q))
+        assert np.array_equal(unpack_weight_matrix(packed), q)
+
+    def test_tiles_is_one_array(self, rng):
+        packed = pack_weight_matrix(rng.integers(0, 16, (100, 130)).astype(np.uint8))
+        assert packed.tiles.shape == (2, 3, 128, 4)
+        assert packed.gmem_bytes() == 6 * 128 * 16
+
+    def test_single_tile_wrappers_agree_with_matrix(self, rng):
+        q = rng.integers(0, 16, (64, 64)).astype(np.uint8)
+        tile = pack_dual_mma_tile(q)
+        assert np.array_equal(tile.words, pack_weight_matrix(q).tiles[0, 0])
+        assert np.array_equal(thread_registers(tile, 2, 9), tile.words[2 * 32 + 9])

@@ -2,18 +2,24 @@
 prefill, preemption-and-recompute under KV pressure, heap admission, and the ragged-batch
 step-cost API it drives."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.serving import (
+    ClusterSpec,
     ContinuousBatchingScheduler,
     KvCacheConfig,
     PagedKvCache,
     PrefillChunk,
     Request,
+    ServingCluster,
     ServingEngine,
     SloSpec,
     get_model,
 )
+from repro.workloads.traces import sharegpt_trace
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +406,70 @@ class TestSchedulerStats:
             [Request(i, 32, 4) for i in range(4)]
         )
         assert stats.throughput_tokens_per_s > 0
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError if the body runs longer than ``seconds`` (SIGALRM)."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTraceValidation:
+    """Bad arrivals and repeated ids are rejected up front; none of them can hang a run."""
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -0.5])
+    def test_bad_arrival_rejected_by_run(self, engine, arrival):
+        trace = sharegpt_trace(2, rate_rps=5.0, seed=3)
+        trace[1].arrival_time_s = arrival
+        scheduler = ContinuousBatchingScheduler(engine)
+        with deadline(8.0), pytest.raises(ValueError, match=r"request 1: arrival_time_s"):
+            scheduler.run(trace)
+
+    def test_bad_arrival_rejected_by_submit(self, engine):
+        scheduler = ContinuousBatchingScheduler(engine)
+        with pytest.raises(ValueError, match=r"request 9: arrival_time_s"):
+            scheduler.submit(Request(9, 64, 8, arrival_time_s=float("nan")))
+        assert not scheduler.has_work
+
+    def test_duplicate_id_rejected_by_submit(self, engine):
+        scheduler = ContinuousBatchingScheduler(engine)
+        first = Request(7, 64, 8)
+        scheduler.submit(first)
+        with pytest.raises(ValueError, match=r"request 7: request_id"):
+            scheduler.submit(Request(7, 32, 8))
+        assert scheduler.queue_depth == 1
+        with deadline(8.0):
+            while scheduler.has_work:
+                scheduler.step()
+        assert scheduler.stats().completed_requests == 1
+        scheduler.begin()  # a fresh session may reuse the id
+        scheduler.submit(Request(7, 32, 8))
+        assert scheduler.queue_depth == 1
+
+    def test_bad_arrival_rejected_by_cluster(self):
+        trace = sharegpt_trace(4, rate_rps=5.0, seed=3)
+        trace[2].arrival_time_s = float("nan")
+        cluster = ServingCluster("liquidserve", "llama2-7b", ClusterSpec(num_replicas=2))
+        with deadline(8.0), pytest.raises(ValueError, match=r"request 2: arrival_time_s"):
+            cluster.run(trace)
+
+    def test_duplicate_ids_rejected_by_run(self, engine):
+        scheduler = ContinuousBatchingScheduler(engine)
+        with deadline(8.0), pytest.raises(ValueError, match=r"request 4: request_id"):
+            scheduler.run([Request(4, 64, 8), Request(5, 64, 8), Request(4, 32, 8, 1.0)])
+
+    def test_valid_trace_unaffected(self, engine):
+        trace = sharegpt_trace(6, rate_rps=5.0, seed=3)
+        with deadline(30.0):
+            stats = ContinuousBatchingScheduler(engine).run(trace)
+        assert stats.completed_requests == 6

@@ -11,11 +11,12 @@ import json
 
 import pytest
 
-from repro.reporting.schema import validate_payload
+from repro.reporting.schema import OneOf, validate_payload
 from repro.sweep import (
     SINGLE_REPLICA,
     SWEEP_SCHEMA,
     SweepGrid,
+    cell_failed,
     cells_identical,
     compute_frontier,
     derive_cell_seed,
@@ -239,6 +240,61 @@ class TestFrontier:
         kept = {p["kernel"] for p in frontier["points"]}
         assert kept == {"fp16", "liquidgemm"}
         assert frontier["dominated_cells"] == 1
+
+
+class TestFailedCells:
+    """One unservable cell is recorded in its row; the rest of the grid still runs."""
+
+    #: The FP16 KV cell cannot fit the longest request of its trace in this pool; the
+    #: default (INT8 KV) cell can.
+    MIXED_GRID = SweepGrid(kv_formats=(None, "fp16"), num_requests=30,
+                           kv_budget_bytes=900_000_000)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_failed_cell_recorded_and_rest_kept(self, parallel):
+        payload = run_sweep(self.MIXED_GRID, max_workers=2, parallel=parallel)
+        validate_payload(payload, SWEEP_SCHEMA)
+        ok, failed = payload["cells"]
+        assert not cell_failed(ok) and ok["metrics"]["completed_requests"] == 30
+        assert cell_failed(failed) and "metrics" not in failed
+        assert failed["error"].startswith("ValueError: request ")
+        assert "KV blocks at peak" in failed["error"]
+        assert (failed["index"], failed["cluster"]["label"]) == (1, "single")
+        assert [p["index"] for p in payload["frontier"]["points"]] == [0]
+        assert payload["frontier"]["dominated_cells"] == 0
+
+    def test_surviving_cell_row_unchanged(self):
+        """A successful cell's row is the same with or without a failing neighbour."""
+        alone = run_sweep(
+            SweepGrid(num_requests=30, kv_budget_bytes=900_000_000), parallel=False
+        )
+        mixed = run_sweep(self.MIXED_GRID, parallel=False)
+        strip = lambda row: {k: v for k, v in row.items() if k != "wall_time_s"}  # noqa: E731
+        assert strip(mixed["cells"][0]) == strip(alone["cells"][0])
+
+    def test_schema_rejects_failed_row_without_error(self, payload):
+        broken = json.loads(json.dumps(payload))
+        row = broken["cells"][0]
+        del row["metrics"]
+        row["status"] = "failed"
+        with pytest.raises(ValueError, match=r"cells\[0\]: matches no alternative"):
+            validate_payload(broken, SWEEP_SCHEMA)
+        row["error"] = "ValueError: boom"
+        validate_payload(broken, SWEEP_SCHEMA)
+
+
+class TestOneOfSchema:
+    def test_accepts_any_alternative_and_names_all_mismatches(self):
+        schema = [OneOf({"a": int}, {"b": str})]
+        validate_payload([{"a": 1}, {"b": "x"}], schema)
+        with pytest.raises(ValueError, match=r"\$\[1\]: matches no alternative") as excinfo:
+            validate_payload([{"a": 1}, {"a": "x"}], schema)
+        assert "$[1].a: expected int" in str(excinfo.value)
+        assert "$[1].b: missing required key" in str(excinfo.value)
+
+    def test_needs_two_alternatives(self):
+        with pytest.raises(ValueError):
+            OneOf({"a": int})
 
 
 class TestCliValidation:
